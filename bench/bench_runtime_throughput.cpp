@@ -14,11 +14,11 @@
 
 namespace {
 
+using wsf::core::ForkPolicy;
 using wsf::runtime::Future;
 using wsf::runtime::RuntimeOptions;
 using wsf::runtime::Scheduler;
 using wsf::runtime::spawn;
-using wsf::runtime::SpawnPolicy;
 
 std::uint64_t fib_seq(std::uint64_t n) {
   return n < 2 ? n : fib_seq(n - 1) + fib_seq(n - 2);
@@ -60,9 +60,9 @@ void qsort_par(std::vector<int>& v, std::ptrdiff_t lo, std::ptrdiff_t hi) {
   left.touch();
 }
 
-SpawnPolicy policy_of(const benchmark::State& state) {
-  return state.range(0) == 0 ? SpawnPolicy::FutureFirst
-                             : SpawnPolicy::ParentFirst;
+ForkPolicy policy_of(const benchmark::State& state) {
+  return state.range(0) == 0 ? ForkPolicy::FutureFirst
+                             : ForkPolicy::ParentFirst;
 }
 
 void report_counters(benchmark::State& state, const Scheduler& sched) {

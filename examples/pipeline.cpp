@@ -41,7 +41,8 @@ std::vector<rt::Future<int>> stage_transform() {
 int main() {
   rt::RuntimeOptions opts;
   opts.workers = 4;
-  opts.policy = rt::SpawnPolicy::FutureFirst;  // the paper's recommendation
+  // The paper's recommendation.
+  opts.policy = wsf::core::ForkPolicy::FutureFirst;
   rt::Scheduler sched(opts);
 
   const long total = sched.run([] {

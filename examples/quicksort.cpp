@@ -32,8 +32,8 @@ void qsort_par(std::vector<int>& v, std::ptrdiff_t lo, std::ptrdiff_t hi) {
 }  // namespace
 
 int main() {
-  for (auto policy :
-       {rt::SpawnPolicy::FutureFirst, rt::SpawnPolicy::ParentFirst}) {
+  for (auto policy : {wsf::core::ForkPolicy::FutureFirst,
+                      wsf::core::ForkPolicy::ParentFirst}) {
     rt::RuntimeOptions opts;
     opts.workers = 4;
     opts.policy = policy;

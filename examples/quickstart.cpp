@@ -26,7 +26,7 @@ std::uint64_t fib(std::uint64_t n) {
 int main() {
   rt::RuntimeOptions opts;
   opts.workers = 4;
-  opts.policy = rt::SpawnPolicy::FutureFirst;
+  opts.policy = wsf::core::ForkPolicy::FutureFirst;
   rt::Scheduler sched(opts);
 
   const std::uint64_t result = sched.run([] { return fib(26); });

@@ -7,7 +7,11 @@
 // first* can be as bad as unstructured futures (Theorem 10).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+
+#include "support/rng.hpp"
 
 namespace wsf::core {
 
@@ -25,11 +29,7 @@ inline const char* to_string(ForkPolicy p) {
   return p == ForkPolicy::FutureFirst ? "future-first" : "parent-first";
 }
 
-inline ForkPolicy fork_policy_from_string(const std::string& s) {
-  if (s == "future-first" || s == "future" || s == "work-first")
-    return ForkPolicy::FutureFirst;
-  return ForkPolicy::ParentFirst;
-}
+ForkPolicy fork_policy_from_string(const std::string& s);
 
 /// How much a thief claims per successful steal operation.
 enum class StealPolicy {
@@ -47,6 +47,10 @@ inline const char* to_string(StealPolicy p) {
 }
 
 StealPolicy steal_policy_from_string(const std::string& s);
+
+/// Most tasks one steal-half operation claims, in both engines: bounded so
+/// one batch cannot monopolize a huge deque.
+inline constexpr std::size_t kMaxStealBatch = 16;
 
 /// How a thief picks its victim.
 enum class VictimPolicy {
@@ -71,5 +75,53 @@ inline const char* to_string(VictimPolicy p) {
 }
 
 VictimPolicy victim_policy_from_string(const std::string& s);
+
+/// The victim-selection rule of both engines: the simulator's
+/// RandomController and the runtime's workers call this one function, so a
+/// policy means the same schedule decision in each. `thief` picks among
+/// `n` deques; `last` is its last successful victim (`thief` when none);
+/// `is_empty(q)` reports whether deque q looks empty. Returns `thief` to
+/// decline the round (nothing worth probing).
+///   * Uniform: one `rng.below(n-1)` draw over the other deques; with
+///     `nonempty_only`, one `rng.below(count)` draw over the non-empty ones.
+///   * LastVictim: `last` while its deque has work, without an RNG draw;
+///     otherwise the Uniform rule.
+///   * Nearest: the first non-empty deque by ring distance (thief+1,
+///     thief+2, ...); declines when all are empty. Never draws.
+template <typename IsEmpty>
+std::uint32_t pick_victim(VictimPolicy policy, std::uint32_t thief,
+                          std::uint32_t n, std::uint32_t last,
+                          bool nonempty_only, IsEmpty&& is_empty,
+                          support::Xoshiro256& rng) {
+  if (n <= 1) return thief;  // nobody to steal from
+  switch (policy) {
+    case VictimPolicy::LastVictim:
+      if (last != thief && !is_empty(last)) return last;
+      break;
+    case VictimPolicy::Nearest:
+      for (std::uint32_t d = 1; d < n; ++d) {
+        const std::uint32_t v = (thief + d) % n;
+        if (!is_empty(v)) return v;
+      }
+      return thief;
+    case VictimPolicy::Uniform:
+      break;
+  }
+  if (!nonempty_only) {
+    // Faithful ABP: uniform over the other deques; the probe may fail.
+    auto v = static_cast<std::uint32_t>(rng.below(n - 1));
+    if (v >= thief) ++v;
+    return v;
+  }
+  // Uniform over the non-empty deques: count them, draw k, take the k-th.
+  std::uint32_t count = 0;
+  for (std::uint32_t q = 0; q < n; ++q)
+    if (q != thief && !is_empty(q)) ++count;
+  if (count == 0) return thief;
+  std::uint64_t k = rng.below(count);
+  for (std::uint32_t q = 0; q < n; ++q)
+    if (q != thief && !is_empty(q) && k-- == 0) return q;
+  return thief;
+}
 
 }  // namespace wsf::core

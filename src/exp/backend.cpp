@@ -48,12 +48,15 @@ class RuntimeBackend final : public Backend {
                        std::uint64_t /*seed_base*/,
                        std::uint64_t seed_count) override {
     WSF_REQUIRE(seed_count >= 1, "need at least one replicate");
-    const runtime::SpawnPolicy policy =
-        cfg.options.policy == core::ForkPolicy::FutureFirst
-            ? runtime::SpawnPolicy::FutureFirst
-            : runtime::SpawnPolicy::ParentFirst;
-    ensure_scheduler(cfg.options.procs, policy, cfg.options.steal_policy,
-                     cfg.options.victim_policy);
+    runtime::RuntimeOptions opts;
+    opts.workers = cfg.options.procs;
+    opts.policy = cfg.options.policy;
+    opts.steal = cfg.options.steal_policy;
+    opts.victim = cfg.options.victim_policy;
+    // Replay thread bodies are a flat loop (no user recursion), so a small
+    // stack keeps many concurrently-live fibers cheap.
+    opts.stack_bytes = 128 * 1024;
+    ensure_scheduler(opts);
 
     SweepCell cell;
     cell.stats = core::compute_stats(g);
@@ -109,36 +112,20 @@ class RuntimeBackend final : public Backend {
   /// stay isolated. Leases held by this Backend keep their schedulers
   /// alive for the sweep's duration; the last Backend to release drops
   /// them.
-  void ensure_scheduler(std::uint32_t workers, runtime::SpawnPolicy policy,
-                        core::StealPolicy steal, core::VictimPolicy victim) {
-    if (lease_ && workers == workers_ && policy == policy_ &&
-        steal == steal_ && victim == victim_)
-      return;
-    runtime::RuntimeOptions opts;
-    opts.workers = workers;
-    opts.policy = policy;
-    opts.steal = steal;
-    opts.victim = victim;
-    // Replay thread bodies are a flat loop (no user recursion), so a small
-    // stack keeps many concurrently-live fibers cheap.
-    opts.stack_bytes = 128 * 1024;
+  void ensure_scheduler(const runtime::RuntimeOptions& opts) {
+    if (lease_ && opts == opts_) return;
     lease_ = runtime::SharedScheduler::acquire(opts);
     if (std::find(held_.begin(), held_.end(), lease_) == held_.end())
       held_.push_back(lease_);
-    workers_ = workers;
-    policy_ = policy;
-    steal_ = steal;
-    victim_ = victim;
+    opts_ = opts;
   }
 
   std::shared_ptr<runtime::SharedScheduler> lease_;
   /// Keeps every pool shape this Backend used alive until the Backend
   /// dies, so a grid alternating shapes does not restart schedulers.
   std::vector<std::shared_ptr<runtime::SharedScheduler>> held_;
-  std::uint32_t workers_ = 0;
-  runtime::SpawnPolicy policy_ = runtime::SpawnPolicy::FutureFirst;
-  core::StealPolicy steal_ = core::StealPolicy::One;
-  core::VictimPolicy victim_ = core::VictimPolicy::Uniform;
+  /// The options lease_ was acquired with.
+  runtime::RuntimeOptions opts_;
 };
 
 }  // namespace

@@ -2,10 +2,10 @@
 //
 // This is the runtime counterpart of the paper's model:
 //   * one Chase–Lev deque per worker (parsimonious work stealing, §3);
-//   * SpawnPolicy::FutureFirst — spawn suspends the parent, pushes its
+//   * ForkPolicy::FutureFirst — spawn suspends the parent, pushes its
 //     continuation onto the deque bottom, and runs the future inline
 //     (work-first; the policy Theorem 8 recommends);
-//   * SpawnPolicy::ParentFirst — spawn pushes the future task and the parent
+//   * ForkPolicy::ParentFirst — spawn pushes the future task and the parent
 //     continues (help-first; the policy Theorem 10 warns about);
 //   * an unresolved touch parks the consumer fiber; the producer resumes it
 //     directly when the value is ready (eager resume).
@@ -22,7 +22,7 @@
 // schedulers costs ~no CPU.
 //
 // One-shot usage (unchanged):
-//   Scheduler sched({.workers = 4, .policy = SpawnPolicy::FutureFirst});
+//   Scheduler sched({.workers = 4, .policy = core::ForkPolicy::FutureFirst});
 //   int r = sched.run([] {
 //     auto f = spawn([] { return heavy(); });   // Future<int>
 //     int local = other_work();
@@ -64,22 +64,11 @@
 
 namespace wsf::runtime {
 
-enum class SpawnPolicy {
-  /// Run the spawned future first; push the parent continuation
-  /// (work-first — recommended by the paper for structured computations).
-  FutureFirst,
-  /// Continue the parent; push the spawned future (help-first).
-  ParentFirst,
-};
-
-inline const char* to_string(SpawnPolicy p) {
-  return p == SpawnPolicy::FutureFirst ? "future-first" : "parent-first";
-}
-
 struct RuntimeOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::uint32_t workers = 0;
-  SpawnPolicy policy = SpawnPolicy::FutureFirst;
+  /// Which fork child the spawning worker runs first (the other is pushed).
+  core::ForkPolicy policy = core::ForkPolicy::FutureFirst;
   /// Stack bytes per fiber.
   std::size_t stack_bytes = 256 * 1024;
   /// Seed for victim selection.
@@ -95,6 +84,8 @@ struct RuntimeOptions {
   /// caller's SubmitPolicy (Block / Reject / Timeout) — the service's
   /// memory and tail latency stay bounded under sustained overload.
   std::size_t inbox_capacity = 0;
+
+  bool operator==(const RuntimeOptions&) const = default;
 };
 
 class Scheduler;
@@ -311,8 +302,6 @@ class Worker {
   friend struct WorkerAudit;  // tests/test_false_sharing.cpp
 
   Job* find_work();
-  /// Chooses a steal victim under victim_policy_ (never this worker).
-  std::uint32_t pick_victim(std::uint32_t n);
   /// One steal operation against `victim` under steal_policy_: steal-one
   /// takes the victim's top; steal-half claims up to half the victim's
   /// items, runs the oldest, and pushes the rest onto this worker's deque
@@ -344,9 +333,9 @@ class Worker {
   alignas(64) WorkerCounters counters_;
 
   // ---- owner-only steal-loop state ----
-  static constexpr std::uint32_t kNoVictim = ~std::uint32_t{0};
-  /// Last worker a steal succeeded from (VictimPolicy::LastVictim).
-  std::uint32_t last_victim_ = kNoVictim;
+  /// Last worker a steal succeeded from (read by VictimPolicy::LastVictim);
+  /// this worker's own id until the first successful steal.
+  std::uint32_t last_victim_;
   /// Consecutive find_work rounds that ended in a failed steal; drives the
   /// capped exponential backoff and resets on any acquired work.
   std::uint32_t failed_steal_streak_ = 0;
@@ -537,7 +526,7 @@ class Scheduler {
   /// stack counts as stacks_reused; prewarming itself counts nothing.
   void prewarm(std::size_t count) WSF_EXCLUDES(fiber_free_mutex_);
 
-  SpawnPolicy policy() const { return opts_.policy; }
+  core::ForkPolicy policy() const { return opts_.policy; }
   std::uint32_t num_workers() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
@@ -820,7 +809,7 @@ auto spawn(F&& fn) -> Future<std::invoke_result_t<F>> {
   auto state = std::make_shared<detail::FutureState<R>>();
   auto job = Scheduler::make_job(state, std::forward<F>(fn));
   w->counters().spawns++;
-  if (w->scheduler().policy() == SpawnPolicy::FutureFirst) {
+  if (w->scheduler().policy() == core::ForkPolicy::FutureFirst) {
     Fiber* parent = detail::current_fiber();
     WSF_CHECK(parent != nullptr, "spawn outside a task fiber");
     w->spawn_future_first(*parent, std::move(job));

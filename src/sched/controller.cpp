@@ -39,47 +39,15 @@ bool RandomController::awake(const Simulator&, core::ProcId) {
 
 core::ProcId RandomController::pick_victim(const Simulator& sim,
                                            core::ProcId thief) {
-  const std::uint32_t procs = sim.num_procs();
-  if (procs <= 1) return thief;  // nobody to steal from
-  switch (victim_policy_) {
-    case core::VictimPolicy::LastVictim: {
-      // Affinity: retry the last productive victim while it still has
-      // work; no RNG draw is spent on the retry. Falls through to the
-      // uniform draw when there is no (or an emptied) remembered victim.
-      const core::ProcId last = last_victim_[thief];
-      if (last != thief && !sim.deque_empty(last)) return last;
-      break;
-    }
-    case core::VictimPolicy::Nearest:
-      // Deterministic ring scan by index distance; declines the round when
-      // every other deque is empty (no RNG draws at all).
-      for (core::ProcId d = 1; d < procs; ++d) {
-        const core::ProcId v = (thief + d) % procs;
-        if (!sim.deque_empty(v)) return v;
-      }
-      return thief;
-    case core::VictimPolicy::Uniform:
-      break;
-  }
-  if (!steal_nonempty_only_) {
-    // Faithful ABP: uniform over the other processors; may fail.
-    auto v = static_cast<core::ProcId>(rng_.below(procs - 1));
-    if (v >= thief) ++v;
-    return v;
-  }
-  // Uniform over processors with non-empty deques.
-  candidates_.clear();
-  candidates_.reserve(procs);
-  for (core::ProcId q = 0; q < procs; ++q)
-    if (q != thief && !sim.deque_empty(q)) candidates_.push_back(q);
-  if (candidates_.empty()) return thief;
-  return candidates_[rng_.below(candidates_.size())];
+  return core::pick_victim(
+      victim_policy_, thief, sim.num_procs(), last_victim_[thief],
+      steal_nonempty_only_,
+      [&sim](core::ProcId q) { return sim.deque_empty(q); }, rng_);
 }
 
 void RandomController::on_steal(const Simulator&, core::ProcId thief,
                                 core::ProcId victim, core::NodeId) {
-  if (victim_policy_ == core::VictimPolicy::LastVictim)
-    last_victim_[thief] = victim;
+  last_victim_[thief] = victim;
 }
 
 ScriptController& ScriptController::sleep_after(const std::string& role,

@@ -77,11 +77,9 @@ class RandomController : public ScheduleController {
   double stall_prob_;
   bool steal_nonempty_only_;
   core::VictimPolicy victim_policy_;
-  /// Scratch for pick_victim's non-empty-deque scan, kept across rounds so
-  /// the steal hot path stays allocation-free after the first call.
-  std::vector<core::ProcId> candidates_;
-  /// Per-thief last successful victim (VictimPolicy::LastVictim); sized at
-  /// on_start. An entry equal to the thief's own index means "none yet".
+  /// Per-thief last successful victim (read by VictimPolicy::LastVictim);
+  /// sized at on_start. An entry equal to the thief's own index means
+  /// "none yet".
   std::vector<core::ProcId> last_victim_;
 };
 

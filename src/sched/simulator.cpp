@@ -168,12 +168,14 @@ void Simulator::try_steal(core::ProcId p) {
   current_[p] = stolen;  // executed next round (a steal costs one round)
   if (opts_.steal_policy == core::StealPolicy::Half && observed >= 2) {
     // Steal-half: the same operation also claims the rest of the victim's
-    // top half — ceil(observed/2) nodes total, the first of which is
-    // `stolen`. The extras land on the thief's deque (empty by the run
-    // loop's precondition) ordered exactly as the runtime's batch steal:
-    // the thief's own pops run them oldest-first, while its deque top
-    // holds the newest extra for onward thieves.
-    const std::size_t extras = (observed + 1) / 2 - 1;
+    // top half — ceil(observed/2) nodes total, capped at kMaxStealBatch
+    // like the runtime's batch, the first of which is `stolen`. The extras
+    // land on the thief's deque (empty by the run loop's precondition)
+    // ordered exactly as the runtime's batch steal: the thief's own pops
+    // run them oldest-first, while its deque top holds the newest extra
+    // for onward thieves.
+    const std::size_t extras =
+        std::min((observed + 1) / 2, core::kMaxStealBatch) - 1;
     WSF_DCHECK(deques_[p].empty(), "batch extras onto a non-empty deque");
     for (std::size_t i = 0; i < extras; ++i) {
       const core::NodeId e = deques_[victim].front();

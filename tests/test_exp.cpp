@@ -155,12 +155,13 @@ TEST(RunSweep, RowsMatchDirectReplicateRuns) {
   }
 }
 
-TEST(TouchEnableParsing, RejectsUnknownNames) {
+TEST(PolicyNameParsing, RejectsUnknownNames) {
   EXPECT_EQ(sched::touch_enable_from_string("touch-first"),
             TouchEnable::TouchFirst);
   EXPECT_EQ(sched::touch_enable_from_string("continuation-first"),
             TouchEnable::ContinuationFirst);
   EXPECT_THROW(sched::touch_enable_from_string("touchfirst"), CheckError);
+  EXPECT_THROW(core::fork_policy_from_string("futur-first"), CheckError);
 }
 
 TEST(RunSweep, UnknownFamilySurfacesAsCheckError) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runtime/pool.hpp"
@@ -12,6 +13,8 @@
 
 namespace wsf::runtime {
 namespace {
+
+using core::ForkPolicy;
 
 std::uint64_t fib_seq(std::uint64_t n) {
   return n < 2 ? n : fib_seq(n - 1) + fib_seq(n - 2);
@@ -24,7 +27,7 @@ std::uint64_t fib_par(std::uint64_t n) {
   return left.touch() + right;
 }
 
-class RuntimeBothPolicies : public ::testing::TestWithParam<SpawnPolicy> {};
+class RuntimeBothPolicies : public ::testing::TestWithParam<ForkPolicy> {};
 
 TEST_P(RuntimeBothPolicies, FibIsCorrect) {
   RuntimeOptions opts;
@@ -162,10 +165,10 @@ TEST_P(RuntimeBothPolicies, MoveOnlyResults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, RuntimeBothPolicies,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& param_info) {
-                           return param_info.param == SpawnPolicy::FutureFirst
+                           return param_info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });
@@ -216,7 +219,7 @@ TEST(Runtime, FutureFirstRunsChildInline) {
   // completion before the parent resumes: the touch never parks.
   RuntimeOptions opts;
   opts.workers = 1;
-  opts.policy = SpawnPolicy::FutureFirst;
+  opts.policy = ForkPolicy::FutureFirst;
   Scheduler sched(opts);
   sched.reset_counters();
   sched.run([] {
@@ -234,7 +237,7 @@ TEST(Runtime, ParentFirstParksOnSingleWorker) {
   // the parent touches: every touch parks once.
   RuntimeOptions opts;
   opts.workers = 1;
-  opts.policy = SpawnPolicy::ParentFirst;
+  opts.policy = ForkPolicy::ParentFirst;
   Scheduler sched(opts);
   sched.reset_counters();
   sched.run([] {
@@ -250,10 +253,19 @@ TEST(Runtime, ParentFirstParksOnSingleWorker) {
 // Mirror of the PR 2 simulator Accounting suite for the runtime's
 // WorkerCounters: the work-acquisition and park/wake counters must
 // reconcile exactly with the tasks that ran, at quiescence, under both
-// policies and various worker counts (see counters.hpp for the
-// identities).
-class Accounting : public ::testing::TestWithParam<SpawnPolicy> {
+// fork policies, every victim policy, and various worker counts (see
+// counters.hpp for the identities).
+class Accounting : public ::testing::TestWithParam<
+                       std::tuple<ForkPolicy, core::VictimPolicy>> {
  protected:
+  RuntimeOptions options(std::uint32_t workers) const {
+    RuntimeOptions opts;
+    opts.workers = workers;
+    opts.policy = std::get<0>(GetParam());
+    opts.victim = std::get<1>(GetParam());
+    return opts;
+  }
+
   static void expect_reconciled(const WorkerCounters& t,
                                 std::uint64_t runs) {
     // Every closure that ran was either spawned or injected by run().
@@ -276,10 +288,7 @@ class Accounting : public ::testing::TestWithParam<SpawnPolicy> {
 
 TEST_P(Accounting, ReconcilesOnFib) {
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
-    RuntimeOptions opts;
-    opts.workers = workers;
-    opts.policy = GetParam();
-    Scheduler sched(opts);
+    Scheduler sched(options(workers));
     sched.reset_counters();
     (void)sched.run([] { return fib_par(18); });
     expect_reconciled(sched.counters().total(), 1);
@@ -287,10 +296,7 @@ TEST_P(Accounting, ReconcilesOnFib) {
 }
 
 TEST_P(Accounting, ReconcilesAcrossRepeatedRuns) {
-  RuntimeOptions opts;
-  opts.workers = 3;
-  opts.policy = GetParam();
-  Scheduler sched(opts);
+  Scheduler sched(options(3));
   sched.reset_counters();
   constexpr std::uint64_t kRuns = 6;
   for (std::uint64_t round = 0; round < kRuns; ++round) {
@@ -306,10 +312,7 @@ TEST_P(Accounting, ReconcilesAcrossRepeatedRuns) {
 }
 
 TEST_P(Accounting, SingleWorkerHasNoSteals) {
-  RuntimeOptions opts;
-  opts.workers = 1;
-  opts.policy = GetParam();
-  Scheduler sched(opts);
+  Scheduler sched(options(1));
   sched.reset_counters();
   (void)sched.run([] { return fib_par(16); });
   const auto t = sched.counters().total();
@@ -324,14 +327,24 @@ TEST_P(Accounting, SingleWorkerHasNoSteals) {
   expect_reconciled(t, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, Accounting,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
-                         [](const auto& param_info) {
-                           return param_info.param == SpawnPolicy::FutureFirst
-                                      ? "FutureFirst"
-                                      : "ParentFirst";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Policies, Accounting,
+    ::testing::Combine(::testing::Values(ForkPolicy::FutureFirst,
+                                         ForkPolicy::ParentFirst),
+                       ::testing::Values(core::VictimPolicy::Uniform,
+                                         core::VictimPolicy::LastVictim,
+                                         core::VictimPolicy::Nearest)),
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param) ==
+                                 ForkPolicy::FutureFirst
+                             ? "FutureFirst"
+                             : "ParentFirst";
+      name += '_';
+      for (const char c : std::string(
+               core::to_string(std::get<1>(param_info.param))))
+        if (c != '-') name += c;
+      return name;
+    });
 
 TEST(Runtime, StressManySmallTasks) {
   RuntimeOptions opts;

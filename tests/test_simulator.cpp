@@ -2,6 +2,8 @@
 // accounting, controllers, premature-touch detection (Figure 3 vs Figure 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 #include "core/classify.hpp"
@@ -287,6 +289,35 @@ TEST(Accounting, UniformVictimAttemptsOnEmptyDequesAreFailedSteals) {
   EXPECT_EQ(r.steals, 0u);
   EXPECT_EQ(r.declined_steals, 0u);
   EXPECT_EQ(r.idle_steps, 0u);
+}
+
+/// Records the largest steal operation: a steal's extras are exactly what
+/// sits on the thief's (previously empty) deque when on_steal runs.
+class LargestBatch : public sched::RandomController {
+ public:
+  using RandomController::RandomController;
+  void on_steal(const sched::Simulator& sim, core::ProcId thief,
+                core::ProcId victim, core::NodeId v) override {
+    largest = std::max(largest, sim.deque_of(thief).size() + 1);
+    RandomController::on_steal(sim, thief, victim, v);
+  }
+  std::size_t largest = 0;
+};
+
+TEST(Accounting, StealHalfBatchesStopAtTheSharedCap) {
+  // Parent-first on a long future chain piles dozens of futures onto one
+  // deque, so an uncapped steal-half would claim more than
+  // core::kMaxStealBatch nodes in one operation.
+  const auto gen = graphs::make_named("future-chain", {.size = 80, .size2 = 4,
+                                                        .seed = 1});
+  SimOptions opts;
+  opts.procs = 2;
+  opts.policy = ForkPolicy::ParentFirst;
+  opts.steal_policy = core::StealPolicy::Half;
+  LargestBatch controller(/*seed=*/1, /*stall_prob=*/0.0,
+                          /*steal_nonempty_only=*/true);
+  (void)sched::simulate(gen.graph, opts, &controller);
+  EXPECT_EQ(controller.largest, core::kMaxStealBatch);
 }
 
 TEST(Accounting, ProcessorRoundGridIsConsistent) {

@@ -78,7 +78,7 @@ struct LoadConfig {
   /// kind index for the i-th job of the stream (the skew pattern).
   std::size_t (*kind_of)(std::uint64_t slot) = nullptr;
   std::uint32_t workers = 0;
-  runtime::SpawnPolicy policy = runtime::SpawnPolicy::FutureFirst;
+  core::ForkPolicy policy = core::ForkPolicy::FutureFirst;
   core::StealPolicy steal = core::StealPolicy::One;
   core::VictimPolicy victim = core::VictimPolicy::Uniform;
   sched::TouchEnable touch_enable = sched::TouchEnable::TouchFirst;
@@ -449,7 +449,7 @@ void add_stat_columns(support::Table& table, const LoadConfig& cfg,
                       const LoadStats& stats) {
   table.add(cfg.mix_name)
       .add(resolved_workers(cfg))
-      .add(runtime::to_string(cfg.policy))
+      .add(core::to_string(cfg.policy))
       .add(core::to_string(cfg.steal))
       .add(core::to_string(cfg.victim))
       .add(sched::to_string(cfg.touch_enable))
@@ -619,13 +619,7 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) return 0;
     cfg = make_mix(mix.value);
     cfg.workers = static_cast<std::uint32_t>(workers.value);
-    WSF_REQUIRE(policy.value == "future-first" ||
-                    policy.value == "parent-first",
-                "unknown --policy '" << policy.value
-                                     << "' (future-first | parent-first)");
-    cfg.policy = policy.value == "future-first"
-                     ? runtime::SpawnPolicy::FutureFirst
-                     : runtime::SpawnPolicy::ParentFirst;
+    cfg.policy = core::fork_policy_from_string(policy.value);
     cfg.steal = core::steal_policy_from_string(steal.value);
     cfg.victim = core::victim_policy_from_string(victim.value);
     cfg.touch_enable = sched::touch_enable_from_string(touch.value);

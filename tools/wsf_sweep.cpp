@@ -220,8 +220,58 @@ int main(int argc, char** argv) {
       "axes, 2 seeds (overrides the grid flags)");
   // Flag parsing must not escape main: an uncaught CheckError (e.g.
   // --threads=abc) would terminate with SIGABRT and no usable diagnostic.
+  // A bad grid flag (e.g. an unknown --policies name) is a bad invocation
+  // too, so the spec is built here.
+  exp::SweepSpec spec;
   try {
     if (!args.parse(argc, argv)) return 0;
+    if (merge.value.empty()) {  // merge mode ignores the grid flags
+      graphs::RegistryParams params;
+      params.size = static_cast<std::uint32_t>(size.value);
+      params.size2 = static_cast<std::uint32_t>(size2.value);
+      params.seed = static_cast<std::uint64_t>(graph_seed.value);
+      if (smoke.value) {
+        spec = exp::smoke_spec();
+      } else {
+        for (const std::string& family : split_list(families.value))
+          spec.graphs.push_back(parse_family(family, params));
+        spec.procs = split_numbers<std::uint32_t>(procs.value);
+        spec.policies.clear();
+        for (const std::string& p : split_list(policies.value))
+          spec.policies.push_back(core::fork_policy_from_string(p));
+        spec.touch_enables.clear();
+        for (const std::string& t : split_list(touch.value))
+          spec.touch_enables.push_back(sched::touch_enable_from_string(t));
+        spec.cache_lines = split_numbers<std::size_t>(cache.value);
+        spec.seeds = static_cast<std::uint64_t>(seeds.value);
+      }
+      // Like --backend, --layout applies on top of --smoke so CI can run the
+      // smoke grid under every layout order.
+      spec.layouts.clear();
+      for (const std::string& l : split_list(layout.value))
+        spec.layouts.push_back(core::node_order_from_string(l));
+      // The steal axes apply on top of --smoke too, mirroring --layout.
+      spec.steal_policies.clear();
+      for (const std::string& s : split_list(steal.value))
+        spec.steal_policies.push_back(core::steal_policy_from_string(s));
+      spec.victim_policies.clear();
+      for (const std::string& v : split_list(victim.value))
+        spec.victim_policies.push_back(core::victim_policy_from_string(v));
+      spec.cache_policy = cache_policy.value;
+      spec.stall_prob = stall.value;
+      spec.seed_base = static_cast<std::uint64_t>(seed_base.value);
+      // --backend applies to --smoke too: the CI runtime job runs the same
+      // smoke grid on the real scheduler.
+      if (backend.value == "both") {
+        spec.backends = {exp::BackendKind::Sim, exp::BackendKind::Runtime};
+      } else {
+        WSF_REQUIRE(backend.value == "sim" || backend.value == "simulator" ||
+                        backend.value == "runtime" || backend.value == "rt",
+                    "unknown --backend '" << backend.value
+                                          << "' (sim | runtime | both)");
+        spec.backends = {exp::backend_from_string(backend.value)};
+      }
+    }
   } catch (const CheckError& e) {
     std::fprintf(stderr, "wsf-sweep: %s\n", e.what());
     return 2;
@@ -246,53 +296,6 @@ int main(int argc, char** argv) {
                    shards.size(), merged.num_rows(),
                    out.value.empty() ? "" : " -> ", out.value.c_str());
       return 0;
-    }
-
-    exp::SweepSpec spec;
-    graphs::RegistryParams params;
-    params.size = static_cast<std::uint32_t>(size.value);
-    params.size2 = static_cast<std::uint32_t>(size2.value);
-    params.seed = static_cast<std::uint64_t>(graph_seed.value);
-    if (smoke.value) {
-      spec = exp::smoke_spec();
-    } else {
-      for (const std::string& family : split_list(families.value))
-        spec.graphs.push_back(parse_family(family, params));
-      spec.procs = split_numbers<std::uint32_t>(procs.value);
-      spec.policies.clear();
-      for (const std::string& p : split_list(policies.value))
-        spec.policies.push_back(core::fork_policy_from_string(p));
-      spec.touch_enables.clear();
-      for (const std::string& t : split_list(touch.value))
-        spec.touch_enables.push_back(sched::touch_enable_from_string(t));
-      spec.cache_lines = split_numbers<std::size_t>(cache.value);
-      spec.seeds = static_cast<std::uint64_t>(seeds.value);
-    }
-    // Like --backend, --layout applies on top of --smoke so CI can run the
-    // smoke grid under every layout order.
-    spec.layouts.clear();
-    for (const std::string& l : split_list(layout.value))
-      spec.layouts.push_back(core::node_order_from_string(l));
-    // The steal axes apply on top of --smoke too, mirroring --layout.
-    spec.steal_policies.clear();
-    for (const std::string& s : split_list(steal.value))
-      spec.steal_policies.push_back(core::steal_policy_from_string(s));
-    spec.victim_policies.clear();
-    for (const std::string& v : split_list(victim.value))
-      spec.victim_policies.push_back(core::victim_policy_from_string(v));
-    spec.cache_policy = cache_policy.value;
-    spec.stall_prob = stall.value;
-    spec.seed_base = static_cast<std::uint64_t>(seed_base.value);
-    // --backend applies to --smoke too: the CI runtime job runs the same
-    // smoke grid on the real scheduler.
-    if (backend.value == "both") {
-      spec.backends = {exp::BackendKind::Sim, exp::BackendKind::Runtime};
-    } else {
-      WSF_REQUIRE(backend.value == "sim" || backend.value == "simulator" ||
-                      backend.value == "runtime" || backend.value == "rt",
-                  "unknown --backend '" << backend.value
-                                        << "' (sim | runtime | both)");
-      spec.backends = {exp::backend_from_string(backend.value)};
     }
 
     exp::SweepTableOptions run_opts;
